@@ -1354,9 +1354,12 @@ impl<'r> Engine<'r> {
         // events carry their *canonical* anchor (the global expiry
         // trigger), so sweeping a container here instead of mid-step
         // lands it at the exact position the sequential stream has it.
+        // Capped at the horizon like the catch-up: a container lapsing
+        // after the last arrival is settled by the end-of-run drain, as
+        // in the sequential engine, and not counted as a sweep expiry.
         for state in states.iter_mut() {
             for &id in node_ids {
-                let expired = state.cluster.pool_mut(id).expire_until(t_now);
+                let expired = state.cluster.pool_mut(id).expire_until(t_now.min(t_cap));
                 for c in expired {
                     let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, &mut state.metrics);
                     if K::ENABLED {

@@ -14,8 +14,8 @@
 //! tip alone pins an entire run, which is what golden snapshots store.
 
 use crate::event::{Event, EventKey};
-use crate::json::{field, write_payload};
-use crate::sha256::sha256_hex;
+use crate::json::{field, write_payload, write_u64};
+use crate::sha256::{push_hex, sha256, sha256_hex};
 use crate::sink::EventSink;
 
 /// `prev` of the first event.
@@ -39,33 +39,7 @@ pub struct ChainSummary {
     pub tip: String,
 }
 
-/// The head of a line: everything the hash covers.
-fn serialize_head(seq: u64, prev: &str, event: &Event) -> String {
-    let mut head = String::with_capacity(192);
-    head.push_str("{\"seq\":");
-    head.push_str(&seq.to_string());
-    head.push_str(",\"prev\":\"");
-    head.push_str(prev);
-    head.push_str("\",\"type\":\"");
-    head.push_str(event.type_name());
-    head.push('"');
-    write_payload(event, &mut head);
-    head.push('}');
-    head
-}
-
-/// Close a head into the written line: swap the trailing `}` for
-/// `,"hash":"…"}`.
-fn seal(head: &str, hash: &str) -> String {
-    let mut line = String::with_capacity(head.len() + 75);
-    line.push_str(&head[..head.len() - 1]);
-    line.push_str(",\"hash\":\"");
-    line.push_str(hash);
-    line.push_str("\"}");
-    line
-}
-
-/// `,"hash":"<hex64>"}` — what [`seal`] appends in place of the head's
+/// `,"hash":"<hex64>"}` — what sealing puts in place of the head's
 /// closing brace.
 const SEAL_LEN: usize = 9 + 64 + 2;
 
@@ -76,6 +50,11 @@ const SEAL_LEN: usize = 9 + 64 + 2;
 /// debug builds assert it): uniqueness is what makes the serialized
 /// stream independent of collection order, and therefore byte-identical
 /// between the sequential and sharded engines.
+///
+/// One [`SequencedEvent`] carries the whole stream: each event is
+/// serialized into its reused `line`, and its `hash` is overwritten in
+/// place, serving as the next event's `prev`. Sinks see each event only
+/// for the duration of [`EventSink::emit`].
 pub fn finalize<K: EventSink>(mut events: Vec<(EventKey, Event)>, sink: &mut K) -> ChainSummary {
     events.sort_by_key(|(key, _)| *key);
     debug_assert!(
@@ -84,24 +63,60 @@ pub fn finalize<K: EventSink>(mut events: Vec<(EventKey, Event)>, sink: &mut K) 
     );
 
     let n = events.len() as u64;
-    let mut prev = GENESIS.to_string();
-    for (seq, (_, event)) in events.into_iter().enumerate() {
-        let head = serialize_head(seq as u64, &prev, &event);
-        let hash = sha256_hex(head.as_bytes());
-        let line = seal(&head, &hash);
-        sink.emit(&SequencedEvent {
-            seq: seq as u64,
-            event,
-            hash: hash.clone(),
-            line,
-        });
-        prev = hash;
+    let mut events = events.into_iter().map(|(_, event)| event);
+    let mut tip = GENESIS.to_string();
+    if let Some(first) = events.next() {
+        let mut current = SequencedEvent {
+            seq: 0,
+            event: first,
+            hash: tip,
+            line: String::with_capacity(512),
+        };
+        loop {
+            seal_next(&mut current);
+            sink.emit(&current);
+            let Some(event) = events.next() else { break };
+            current.seq += 1;
+            current.event = event;
+        }
+        tip = current.hash;
     }
     sink.flush();
-    ChainSummary {
-        events: n,
-        tip: prev,
-    }
+    ChainSummary { events: n, tip }
+}
+
+/// Serialize `current.event` into `current.line`, chained to
+/// `current.hash` (the previous event's hash, or [`GENESIS`]), and
+/// overwrite `current.hash` with this line's hash.
+///
+/// The hash covers the line's *head* — everything up to and including
+/// the payload, closed with `}` — which is then sealed in place by
+/// swapping that `}` for `,"hash":"…"}`.
+fn seal_next(current: &mut SequencedEvent) {
+    let SequencedEvent {
+        seq,
+        event,
+        hash,
+        line,
+    } = current;
+    line.clear();
+    line.push_str("{\"seq\":");
+    write_u64(line, *seq);
+    line.push_str(",\"prev\":\"");
+    line.push_str(hash);
+    line.push_str("\",\"type\":\"");
+    line.push_str(event.type_name());
+    line.push('"');
+    write_payload(event, line);
+    line.push('}');
+
+    let digest = sha256(line.as_bytes());
+    hash.clear();
+    push_hex(hash, &digest);
+    line.pop();
+    line.push_str(",\"hash\":\"");
+    line.push_str(hash);
+    line.push_str("\"}");
 }
 
 /// Where and why a chain walk failed.

@@ -146,6 +146,75 @@ fn contended_sharded_stream_still_chains_and_counts_revocations() {
 }
 
 #[test]
+fn expiry_after_the_last_arrival_is_counted_as_sequential_counts_it() {
+    // f0's keep-alive lapses before f1 arrives (a sweep expiry in both
+    // engines); f1's lapses after the last arrival but inside the final
+    // 30-minute period. The sequential engine settles that one in the
+    // end-of-run drain without counting it as a sweep expiry, so the
+    // sharded final reconciliation must not sweep past the horizon.
+    let catalog = WorkloadCatalog::new(vec![
+        FunctionProfile::new("f0", 1_000, 2_000, 512, 0.64),
+        FunctionProfile::new("f1", 1_000, 2_000, 512, 0.64),
+    ]);
+    let trace = Trace::new(
+        catalog,
+        vec![
+            Invocation {
+                func: FunctionId(0),
+                t_ms: 0,
+            },
+            Invocation {
+                func: FunctionId(1),
+                t_ms: 12 * MINUTE_MS,
+            },
+        ],
+    );
+    let ci = CarbonIntensityTrace::constant(300.0, 60);
+    let fleet = skus::fleet_a();
+    let sim = Simulation::new(&trace, &ci, fleet);
+
+    let mut reference = CaptureSink::default();
+    let sequential = sim.run_with_sink(&mut FixedPolicy::new_only(), &mut reference);
+    assert_eq!(
+        sequential.expiry.expired, 1,
+        "only f0 lapses before the horizon"
+    );
+    let run_ended = |sink: &CaptureSink| {
+        let last = sink.lines().last().copied().expect("non-empty stream");
+        assert_eq!(str_field(last, "type"), Some("RunEnded"));
+        u64_field(last, "expired")
+    };
+    assert_eq!(run_ended(&reference), Some(1));
+
+    for shards in [2usize, 8] {
+        for threads in [1usize, 2] {
+            let mut sink = CaptureSink::default();
+            let m = sim.run_sharded_with_sink(
+                |_| FixedPolicy::new_only(),
+                &ShardOptions::new(shards)
+                    .with_threads(threads)
+                    .with_period_ms(30 * MINUTE_MS),
+                &mut sink,
+            );
+            assert_eq!(
+                m.expiry.expired, sequential.expiry.expired,
+                "shards={shards} threads={threads}: expiry count"
+            );
+            assert_eq!(
+                run_ended(&sink),
+                Some(1),
+                "shards={shards} threads={threads}: RunEnded.expired"
+            );
+            assert_eq!(
+                sink.tip(),
+                reference.tip(),
+                "shards={shards} threads={threads}: chain tip"
+            );
+        }
+    }
+}
+
+#[test]
 fn stream_replays_into_run_metrics() {
     // The reconstruction contract on the pressured fixture: counts and
     // per-node keep-alive gram totals, recovered from the emitted lines
