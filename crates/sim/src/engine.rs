@@ -1354,12 +1354,25 @@ impl<'r> Engine<'r> {
         // events carry their *canonical* anchor (the global expiry
         // trigger), so sweeping a container here instead of mid-step
         // lands it at the exact position the sequential stream has it.
-        // Capped at the horizon like the catch-up: a container lapsing
-        // after the last arrival is settled by the end-of-run drain, as
-        // in the sequential engine, and not counted as a sweep expiry.
+        // Only lapses up to the horizon count as sweep expiries: the
+        // sequential engine settles a container lapsing after the last
+        // arrival in its end-of-run drain, uncounted. Such containers are
+        // still removed here, uncounted, so the capacity pass below sees
+        // only keep-alives that outlive `t_now`; one `FunctionId`-sorted
+        // batch keeps the settlement order (and so the float sums) fixed.
         for state in states.iter_mut() {
             for &id in node_ids {
-                let expired = state.cluster.pool_mut(id).expire_until(t_now.min(t_cap));
+                let pool = state.cluster.pool_mut(id);
+                let mut expired = pool.expire_until(t_now.min(t_cap));
+                if t_now > t_cap {
+                    let lapsed: Vec<_> = pool
+                        .iter()
+                        .filter(|c| c.expiry_ms <= t_now)
+                        .map(|c| c.func)
+                        .collect();
+                    expired.extend(lapsed.into_iter().filter_map(|f| pool.remove(f)));
+                    expired.sort_unstable_by_key(|c| c.func);
+                }
                 for c in expired {
                     let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, &mut state.metrics);
                     if K::ENABLED {

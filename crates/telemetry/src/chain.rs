@@ -14,9 +14,10 @@
 //! tip alone pins an entire run, which is what golden snapshots store.
 
 use crate::event::{Event, EventKey};
-use crate::json::{field, write_payload, write_u64};
+use crate::json::{field, write_payload};
 use crate::sha256::{push_hex, sha256, sha256_hex};
 use crate::sink::EventSink;
+use std::fmt::Write as _;
 
 /// `prev` of the first event.
 pub const GENESIS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
@@ -101,7 +102,7 @@ fn seal_next(current: &mut SequencedEvent) {
     } = current;
     line.clear();
     line.push_str("{\"seq\":");
-    write_u64(line, *seq);
+    write!(line, "{seq}").expect("writing to a String cannot fail");
     line.push_str(",\"prev\":\"");
     line.push_str(hash);
     line.push_str("\",\"type\":\"");

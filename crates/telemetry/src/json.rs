@@ -12,30 +12,6 @@
 use crate::event::Event;
 use std::fmt::Write as _;
 
-/// Append `v` in decimal (what `v.to_string()` gives), from a digit
-/// buffer on the stack instead of a fresh `String`.
-pub(crate) fn write_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut start = buf.len();
-    loop {
-        start -= 1;
-        buf[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
-}
-
-/// [`write_u64`] for a signed value (`i64::MIN` via `unsigned_abs`).
-fn write_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    write_u64(out, v.unsigned_abs());
-}
-
 /// Append `,"key":` — the start of every payload field.
 fn push_key(out: &mut String, key: &str) {
     out.push_str(",\"");
@@ -46,12 +22,12 @@ fn push_key(out: &mut String, key: &str) {
 /// Append `"key":value` (with a leading comma) for a u64.
 fn push_u64(out: &mut String, key: &str, v: u64) {
     push_key(out, key);
-    write_u64(out, v);
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 fn push_i64(out: &mut String, key: &str, v: i64) {
     push_key(out, key);
-    write_i64(out, v);
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 fn push_bool(out: &mut String, key: &str, v: bool) {
@@ -391,20 +367,6 @@ mod tests {
         // Last field: extractor must stop at the closing brace.
         let kwh: f64 = field(&line, "energy_kwh").unwrap().parse().unwrap();
         assert_eq!(kwh.to_bits(), 2.5e-7f64.to_bits());
-    }
-
-    #[test]
-    fn integer_writer_matches_to_string() {
-        for v in [0u64, 9, 10, 99, 100, 12_345, u64::MAX] {
-            let mut out = String::new();
-            write_u64(&mut out, v);
-            assert_eq!(out, v.to_string());
-        }
-        for v in [0i64, 9, -1, -10, i64::MAX, i64::MIN] {
-            let mut out = String::new();
-            write_i64(&mut out, v);
-            assert_eq!(out, v.to_string());
-        }
     }
 
     /// Shortest-roundtrip: every finite f64 serialized by the sink

@@ -215,6 +215,82 @@ fn expiry_after_the_last_arrival_is_counted_as_sequential_counts_it() {
 }
 
 #[test]
+fn final_reconcile_revokes_only_containers_that_outlive_the_period() {
+    // Shards overcommit New-Only's 1 GiB pool in the final 30-minute
+    // period. Five keep-alives (f0..f4, arriving at minutes 45..49) lapse
+    // after the last arrival but before the period ends at minute 60;
+    // three (f5..f7, arriving at minutes 51..53) outlive it. The final
+    // reconciliation must settle the lapsed five at their expiry, not
+    // count them as sweep expiries, and leave them out of the capacity
+    // pass: only f5..f7 can be revoked or transferred, at minute 60.
+    let n = 8u32;
+    let catalog = WorkloadCatalog::new(
+        (0..n)
+            .map(|f| FunctionProfile::new(&format!("f{f}"), 1_000, 2_000, 512, 0.64))
+            .collect(),
+    );
+    let arrival_min = |f: u32| if f < 5 { 45 + f as u64 } else { 46 + f as u64 };
+    let trace = Trace::new(
+        catalog,
+        (0..n)
+            .map(|f| Invocation {
+                func: FunctionId(f),
+                t_ms: arrival_min(f) * MINUTE_MS,
+            })
+            .collect(),
+    );
+    let ci = CarbonIntensityTrace::constant(300.0, 120);
+    let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(1_024);
+    let sim = Simulation::new(&trace, &ci, fleet);
+    let t_final = 60 * MINUTE_MS;
+    let expiry_ms = |f: u64| (arrival_min(f as u32) + 10) * MINUTE_MS;
+
+    for shards in [2usize, 8] {
+        for threads in [1usize, 2] {
+            let mut sink = CaptureSink::default();
+            let m = sim.run_sharded_with_sink(
+                |_| FixedPolicy::new_only(),
+                &ShardOptions::new(shards)
+                    .with_threads(threads)
+                    .with_period_ms(30 * MINUTE_MS),
+                &mut sink,
+            );
+            let at = format!("shards={shards} threads={threads}");
+            verify_lines(sink.lines()).expect("contended chain verifies");
+            assert_eq!(m.expiry.expired, 0, "{at}: nothing lapses by the horizon");
+            let mut revoked = 0u64;
+            let mut transferred = 0u64;
+            for line in sink.lines() {
+                let kind = str_field(line, "type");
+                if !matches!(kind, Some("Revoked" | "Transferred")) {
+                    continue;
+                }
+                let func = u64_field(line, "func").expect("func field");
+                let t_ms = u64_field(line, "t_ms").expect("t_ms field");
+                assert_eq!(t_ms, t_final, "{at}: {line}");
+                assert!(
+                    t_ms < expiry_ms(func),
+                    "{at}: f{func} acted on after its expiry: {line}"
+                );
+                if kind == Some("Revoked") {
+                    revoked += 1;
+                } else {
+                    transferred += 1;
+                }
+            }
+            assert_eq!(revoked, m.reconcile_revocations, "{at}");
+            assert_eq!(transferred, m.transfers, "{at}");
+            // Two shards hold 2 GiB on the 1 GiB pool at minute 60, but
+            // what outlives the period fits, so nothing may be revoked.
+            // Eight shards keep all three of f5..f7 on it: the youngest
+            // moves to node 0.
+            let expected = if shards == 2 { (0, 0) } else { (1, 1) };
+            assert_eq!((m.reconcile_revocations, m.transfers), expected, "{at}");
+        }
+    }
+}
+
+#[test]
 fn stream_replays_into_run_metrics() {
     // The reconstruction contract on the pressured fixture: counts and
     // per-node keep-alive gram totals, recovered from the emitted lines
